@@ -1,45 +1,29 @@
-"""Simulator-throughput scaling benchmark — emits ``BENCH_perf.json``.
+"""Simulation-output pins for the scaling scenarios — a timing-free parity test.
 
-Unlike the figure benchmarks (which reproduce paper results), this module
-benchmarks the *simulator itself*: events/sec and requests/sec at 4-, 16- and
-40-machine scale under the short-burst saturation regime of the paper's
-robustness study (§VI-G).  Queue depths grow into the hundreds there, which
-is exactly where O(queue-length) hot-path accounting turns simulation cost
-quadratic in trace length.
+Seven fixed scenarios cover the simulator's main regimes: 4-, 16- and
+40-machine Splitwise-HH clusters under the short-burst saturation regime of
+the paper's robustness study (§VI-G, roughly 5x the sustainable rate), a
+day-scale diurnal trace with the pool autoscaler active, a mixed-tenant fleet
+behind the slo-feedback router and the cloud-burst provisioner, and a
+5-cluster static fleet run both serially and sharded across 4 workers.
 
-The recorded ``SEED_BASELINE`` numbers were measured once on the pre-
-incremental-accounting implementation (seed commit, same host class as CI)
-with the identical scenario definitions; ``BENCH_perf.json`` records both the
-current numbers and the speedup against that baseline so future PRs can
-track the trajectory.
+Each run must drain every request and end at exactly its pinned simulated
+time; the serial and sharded fleet runs must agree on every simulation
+output.  Host time is measured by ``hostbench/run.py``, not here.
 
 Run with::
 
-    pytest benchmarks/test_perf_scaling.py -q -s
+    pytest benchmarks/test_perf_scaling.py -q
 """
 
 from __future__ import annotations
 
-import cProfile
-import os
-from pathlib import Path
-
-from repro.metrics.perf import (
-    SCALING_SCENARIOS,
-    profile_top_functions,
-    run_perf_scenario,
-    write_bench_report,
-)
-
-from benchmarks.conftest import print_table
-
-#: Seed-implementation measurements for the identical scenarios (wall-clock
-#: seconds and derived rates), recorded before the O(1) hot-path rework.
-SEED_BASELINE = {
-    "4-machine": {"wall_s": 1.959, "events_per_s": 7487.0, "requests_per_s": 1056.7},
-    "16-machine": {"wall_s": 17.635, "events_per_s": 3184.4, "requests_per_s": 447.2},
-    "40-machine": {"wall_s": 109.451, "events_per_s": 1302.3, "requests_per_s": 183.0},
-}
+from repro.core.cluster import ClusterSimulation
+from repro.core.designs import splitwise_hh
+from repro.experiments.fleet_sweep import prepare_fleet_run
+from repro.experiments.scenarios import prepare_scenario_run
+from repro.workload.generator import generate_trace
+from repro.workload.scenarios import get_scenario
 
 #: Final simulated time of each scenario.  This is a pure simulation output:
 #: it must be bit-identical on every host and across perf-only refactors, so
@@ -58,123 +42,81 @@ EXPECTED_SIM_TIME = {
     # Five static mixed-tenant clusters (40 machines) under weighted-rr
     # routing, serial vs sharded across 4 workers on the identical trace.
     # The two entries pinning the SAME value is itself a parity gate: a
-    # sharded run that diverged from serial would trip here in tier-1.
+    # sharded run that diverged from serial would trip here.
     "fleet-parallel": "258.6543126857196",
     "fleet-parallel-4w": "258.6543126857196",
 }
 
-#: Regression floor for the headline scenario: the O(1)-accounting simulator
-#: must stay comfortably faster than the seed.  The baseline wall times were
-#: recorded on one specific host, so comparing them against another host's
-#: wall clock measures the runner, not the code — the floor is therefore only
-#: enforced when REPRO_PERF_ENFORCE_SPEEDUP=1 (set it when benchmarking on a
-#: host comparable to the one that recorded SEED_BASELINE).  The speedup is
-#: always *recorded* in BENCH_perf.json either way.
-MIN_HEADLINE_SPEEDUP = 2.0
 
-#: Absolute events/sec floor per scenario.  Raised in the columnar-telemetry
-#: PR from the seed-implementation numbers to the post-refactor baseline:
-#: each floor sits ~4-5x below the recording host's typical throughput, so
-#: the gate trips on a genuine regression (e.g. the per-token recording or
-#: the rotation's deferred bookkeeping growing back) rather than on a slow
-#: or noisy CI runner.  The smoke run fails hard when
-#: REPRO_PERF_ENFORCE_FLOOR=1 (set in CI) and a scenario's logical
-#: events/sec drops below its floor.
-EVENTS_PER_S_FLOOR = {
-    # Recording host sustains ~36-42k logical events/s post-refactor.
-    "4-machine": 12_000.0,
-    # Recording host: ~25-32k.
-    "16-machine": 8_000.0,
-    # Recording host: ~28-31k (vs 24.6k recorded at the fleet PR).
-    "40-machine": 6_000.0,
-    # Recording host: ~104-111k.
-    "diurnal-autoscale": 30_000.0,
-    # Recording host: ~140-150k.
-    "fleet-burst": 25_000.0,
-    # Recording host (1 CPU): ~64-70k serial; floors sit ~4-5x below so a
-    # slow runner doesn't trip them.
-    "fleet-parallel": 15_000.0,
-    "fleet-parallel-4w": 15_000.0,
+def _burst(num_prompt: int, num_token: int, rate_rps: float, num_requests: int, seed: int):
+    """A Poisson burst of ``num_requests`` conversation requests on Splitwise-HH."""
+    trace = generate_trace(
+        "conversation", rate_rps=rate_rps, duration_s=num_requests / rate_rps, seed=seed
+    )
+    return ClusterSimulation(splitwise_hh(num_prompt, num_token)), trace, ()
+
+
+def _static_fleet(parallel: int | None):
+    """Five static mixed-tenant clusters under weighted-rr routing."""
+    return prepare_fleet_run(
+        get_scenario("mixed-tenant"), clusters=5, burst_clusters=0, seed=16, scale=1.6,
+        policy="weighted-rr", burst=False, parallel=parallel,
+    )
+
+
+#: Scenario name -> builder of its ``(simulation, trace, failures)``.
+SCENARIOS = {
+    "4-machine": lambda: _burst(2, 2, rate_rps=50.0, num_requests=2_000, seed=11),
+    "16-machine": lambda: _burst(10, 6, rate_rps=200.0, num_requests=8_000, seed=12),
+    "40-machine": lambda: _burst(25, 15, rate_rps=500.0, num_requests=20_000, seed=13),
+    "diurnal-autoscale": lambda: prepare_scenario_run(
+        get_scenario("diurnal"), seed=14, scale=4.0, autoscaled=True
+    ),
+    "fleet-burst": lambda: prepare_fleet_run(
+        get_scenario("mixed-tenant"), clusters=2, burst_clusters=1, seed=15, scale=2.0,
+        policy="slo-feedback", burst=True,
+    ),
+    "fleet-parallel": lambda: _static_fleet(None),
+    "fleet-parallel-4w": lambda: _static_fleet(4),
 }
 
-#: Wall-clock speedup the sharded run must show over the serial run of the
-#: identical trace at 4 workers.  Only meaningful with real CPUs to put the
-#: workers on: the gate is enforced when REPRO_PERF_ENFORCE_FLOOR=1 *and*
-#: the host has at least MIN_PARALLEL_CPUS usable cores (GitHub's
-#: ubuntu-latest runners have 4).  On smaller hosts (e.g. a 1-CPU container,
-#: where time-sliced workers measure ~0.9x) the speedup is still recorded in
-#: BENCH_perf.json's parallel_speedup section, with host_cpus alongside.
-MIN_PARALLEL_SPEEDUP = 1.8
-MIN_PARALLEL_CPUS = 4
 
-_REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
+_ENGINE_COUNTERS = ("events_processed", "events_cancelled", "events_coalesced")
 
 
-def test_perf_scaling(run_once):
-    profiler = cProfile.Profile() if os.environ.get("REPRO_PERF_PROFILE") == "1" else None
+def _run(name: str) -> dict:
+    """Run one scenario and return its simulation outputs."""
+    simulation, trace, failures = SCENARIOS[name]()
+    result = simulation.run(trace, failures=failures)
+    # Sharded fleet runs execute on worker engines; their merged counters
+    # live in parallel_info, and the coordinator engine stays idle.
+    info = getattr(simulation, "parallel_info", None)
+    if info is not None and info.get("mode") == "parallel":
+        counters = {key: info[key] for key in _ENGINE_COUNTERS}
+        counters["workers"] = info["workers"]
+    else:
+        counters = {key: getattr(simulation.engine, key) for key in _ENGINE_COUNTERS}
+        counters["workers"] = 0
+    return {
+        "requests": len(trace),
+        "completed": len(result.completed_requests),
+        "tokens_generated": sum(r.generated_tokens for r in result.requests),
+        "sim_time_s": result.duration_s,
+        **counters,
+    }
 
-    def _run():
-        samples = []
-        for scenario in SCALING_SCENARIOS:
-            if profiler is not None:
-                profiler.enable()
-            samples.append(run_perf_scenario(scenario))
-            if profiler is not None:
-                profiler.disable()
-        return samples
 
-    samples = run_once(_run)
-    profile = profile_top_functions(profiler) if profiler is not None else None
-    report = write_bench_report(_REPORT_PATH, samples, baseline=SEED_BASELINE, profile=profile)
-
-    rows = {}
-    for sample in samples:
-        entry = report["scenarios"][sample.scenario]
-        rows[sample.scenario] = {
-            "machines": sample.machines,
-            "requests": sample.requests,
-            "wall_s": sample.wall_s,
-            "events/s": sample.events_per_s,
-            "requests/s": sample.requests_per_s,
-            "speedup_vs_seed": entry.get("speedup", float("nan")),
-        }
+def test_perf_scaling():
+    outputs = {name: _run(name) for name in SCENARIOS}
+    for name, out in outputs.items():
         # Every request must drain; a partial completion means the scenario
-        # (not the measurement) is broken.
-        assert sample.completed == sample.requests
-        # Bit-identity guard: simulated results must not drift with perf work.
-        assert repr(sample.sim_time_s) == EXPECTED_SIM_TIME[sample.scenario]
-        if os.environ.get("REPRO_PERF_ENFORCE_FLOOR") == "1":
-            assert sample.events_per_s >= EVENTS_PER_S_FLOOR[sample.scenario], (
-                f"{sample.scenario}: {sample.events_per_s:.0f} logical events/s fell below the "
-                f"recorded floor {EVENTS_PER_S_FLOOR[sample.scenario]:.0f}"
-            )
-    print_table("Simulator scaling (burst regime)", rows)
+        # is broken.
+        assert out["completed"] == out["requests"], name
+        assert repr(out["sim_time_s"]) == EXPECTED_SIM_TIME[name], name
 
-    headline = report["scenarios"]["40-machine"]
-    assert headline["speedup"] > 0
-    if os.environ.get("REPRO_PERF_ENFORCE_SPEEDUP") == "1":
-        assert headline["speedup"] >= MIN_HEADLINE_SPEEDUP
-
-    # Sharded-engine gates: the serial/parallel pair must agree on every
-    # simulation output (wall time is the only legitimate difference), and
-    # on a multi-core enforcing host the 4-worker run must actually be fast.
-    parallel = report.get("parallel_speedup")
-    assert parallel is not None
-    serial_entry = report["scenarios"]["fleet-parallel"]
-    sharded_entry = report["scenarios"]["fleet-parallel-4w"]
-    for key in ("requests", "completed", "events", "events_cancelled",
-                "events_coalesced", "tokens_generated", "sim_time_s"):
-        assert serial_entry[key] == sharded_entry[key], (
-            f"serial/sharded divergence on {key}: "
-            f"{serial_entry[key]!r} != {sharded_entry[key]!r}"
+    serial, sharded = outputs["fleet-parallel"], outputs["fleet-parallel-4w"]
+    assert sharded["workers"] == 4
+    for key in ("requests", "completed", *_ENGINE_COUNTERS, "tokens_generated", "sim_time_s"):
+        assert serial[key] == sharded[key], (
+            f"serial/sharded divergence on {key}: {serial[key]!r} != {sharded[key]!r}"
         )
-    assert sharded_entry["parallel_workers"] == 4
-    if (
-        os.environ.get("REPRO_PERF_ENFORCE_FLOOR") == "1"
-        and parallel["host_cpus"] >= MIN_PARALLEL_CPUS
-    ):
-        assert parallel["speedup"] >= MIN_PARALLEL_SPEEDUP, (
-            f"sharded fleet run shows {parallel['speedup']:.2f}x over serial "
-            f"on a {parallel['host_cpus']}-CPU host; floor is {MIN_PARALLEL_SPEEDUP}x"
-        )
-    assert _REPORT_PATH.exists()

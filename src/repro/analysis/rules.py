@@ -19,8 +19,7 @@ Path scoping conventions (see :class:`ModuleContext` helpers):
   (``simulation/``, ``core/``, ``fleet/``, ``faults/``) where iteration
   order feeds event scheduling or routing/placement decisions;
 * ``SIM002``/``SIM007`` carry explicit allowlists for the modules whose job
-  *is* wall-clock timing (``metrics/perf.py``) or process configuration
-  (``cli.py``).
+  *is* wall-clock display or process configuration (``cli.py``).
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ from repro.analysis.findings import Finding
 #: placement decisions (SIM003's scope).
 ORDER_SENSITIVE_DIRS = ("simulation/", "core/", "fleet/", "faults/")
 
-#: Modules allowed to read the wall clock (SIM002): performance measurement
-#: and CLI timing display are *about* wall time; benchmarks measure it, and
-#: the observability phase profiler attributes it (never armed by the
-#: simulation itself — only the perf bench attaches it).
-WALL_CLOCK_ALLOWLIST = ("metrics/perf.py", "cli.py", "obs/profiler.py")
+#: Modules allowed to read the wall clock (SIM002): CLI timing display is
+#: *about* wall time, and benchmarks measure it.  Host-time measurement of
+#: the simulator lives outside the package (``hostbench/``).
+WALL_CLOCK_ALLOWLIST = ("cli.py",)
 WALL_CLOCK_ALLOWED_DIRS = ("benchmarks/",)
 
 #: Modules allowed to read process environment (SIM007): the CLI and
@@ -253,7 +251,7 @@ class WallClockRead(Rule):
             self.report(
                 node,
                 f"wall-clock read ({name}) in simulated code",
-                "use engine.now for simulated time; real timing belongs in metrics/perf.py",
+                "use engine.now for simulated time; host timing belongs in the benchmark (hostbench/)",
             )
         self.generic_visit(node)
 

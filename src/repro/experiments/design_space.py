@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from repro.core.cluster import simulate_design
 from repro.core.designs import ClusterDesign
 from repro.core.provisioning import OptimizationGoal, Provisioner
-from repro.experiments.cluster_eval import _FACTORIES, scaled_design_suite
+from repro.experiments.cluster_eval import _suite_from_configs, scaled_design_suite
 from repro.models.llm import LLAMA2_70B, ModelSpec
 from repro.workload.generator import generate_trace
 
@@ -53,20 +53,6 @@ PAPER_ISO_THROUGHPUT_COST_CONFIGS: Mapping[str, tuple[int, int]] = {
     "Splitwise-HA": (11, 19),
     "Splitwise-HHcap": (19, 3),
 }
-
-
-def _suite_from_configs(
-    configs: Mapping[str, tuple[int, int]], scale: float, families: Sequence[str] | None = None
-) -> dict[str, ClusterDesign]:
-    chosen = families or list(configs)
-    suite: dict[str, ClusterDesign] = {}
-    for family in chosen:
-        prompt, token = configs[family]
-        scaled_prompt = max(1, round(prompt * scale))
-        scaled_token = max(1, round(token * scale)) if token else 0
-        factory = _FACTORIES[family]
-        suite[family] = factory(scaled_prompt) if token == 0 else factory(scaled_prompt, scaled_token)
-    return suite
 
 
 def fig12_design_space(

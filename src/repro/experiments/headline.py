@@ -17,32 +17,10 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.core.cluster import simulate_design
-from repro.core.designs import ClusterDesign
-from repro.experiments.cluster_eval import scaled_design_suite
-from repro.experiments.design_space import PAPER_ISO_COST_CONFIGS, _suite_from_configs
+from repro.core.provisioning import Provisioner
+from repro.experiments.cluster_eval import _suite_from_configs, scaled_design_suite
+from repro.experiments.design_space import PAPER_ISO_COST_CONFIGS
 from repro.models.llm import LLAMA2_70B, ModelSpec
-from repro.workload.generator import generate_trace
-
-
-def _max_sustainable_rate(
-    design: ClusterDesign,
-    workload: str,
-    rates: Sequence[float],
-    duration_s: float,
-    model: ModelSpec,
-    seed: int,
-) -> float:
-    """Highest rate in ``rates`` at which the design meets the SLO."""
-    best = 0.0
-    for rate in sorted(rates):
-        trace = generate_trace(workload, rate_rps=rate, duration_s=duration_s, seed=seed)
-        result = simulate_design(design, trace, model=model)
-        if result.completion_rate >= 0.98 and result.slo_report(model=model).satisfied:
-            best = rate
-        elif best > 0.0:
-            break
-    return best
 
 
 def headline_claims(
@@ -62,12 +40,11 @@ def headline_claims(
     iso_power_suite = scaled_design_suite(workload, scale)
     iso_cost_suite = _suite_from_configs(PAPER_ISO_COST_CONFIGS, scale)
 
+    provisioner = Provisioner(model, workload, trace_duration_s=duration_s, seed=seed)
     sustainable: dict[str, dict[str, float]] = {"iso_power": {}, "iso_cost": {}}
     for label, suite in (("iso_power", iso_power_suite), ("iso_cost", iso_cost_suite)):
         for name, design in suite.items():
-            sustainable[label][name] = _max_sustainable_rate(
-                design, workload, rates, duration_s, model, seed
-            )
+            sustainable[label][name] = provisioner.max_throughput(design, rates)[0]
 
     def ratio(numerator: float, denominator: float) -> float:
         return numerator / denominator if denominator else float("inf")

@@ -8,14 +8,6 @@ slowdowns relative to an uncontended DGX-A100 request.
 """
 
 from repro.metrics.collectors import BatchOccupancyTracker, MetricsCollector, request_outcomes
-from repro.metrics.perf import (
-    SCALING_SCENARIOS,
-    PerfSample,
-    PerfScenario,
-    build_bench_report,
-    run_perf_scenario,
-    write_bench_report,
-)
 from repro.metrics.slo import (
     DEFAULT_SLO,
     SloPolicy,
@@ -44,10 +36,4 @@ __all__ = [
     "evaluate_slo",
     "evaluate_slo_by_tenant",
     "empty_slo_report",
-    "PerfScenario",
-    "PerfSample",
-    "SCALING_SCENARIOS",
-    "run_perf_scenario",
-    "build_bench_report",
-    "write_bench_report",
 ]

@@ -1,9 +1,8 @@
-"""Opt-in observability plane: spans, metrics, traces, and phase profiling.
+"""Opt-in observability plane: spans, metrics, and traces.
 
 See ``docs/observability.md``.  Nothing in this package is imported by the
-simulation layers unless a run opts in via ``FleetSimulation.observe`` (or
-the perf bench attaches the profiler) — observability off means
-observability unpaid.
+simulation layers unless a run opts in via ``FleetSimulation.observe`` —
+observability off means observability unpaid.
 """
 
 from repro.obs.metrics import (
@@ -15,7 +14,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.perfetto import build_trace, export_trace, span_census, validate_trace
 from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
-from repro.obs.profiler import PhaseProfiler, bucket_for_tag
 from repro.obs.spans import Span, SpanRecorder
 
 __all__ = [
@@ -25,10 +23,8 @@ __all__ = [
     "MetricsTicker",
     "ObservabilityConfig",
     "ObservabilityPlane",
-    "PhaseProfiler",
     "Span",
     "SpanRecorder",
-    "bucket_for_tag",
     "build_trace",
     "export_trace",
     "metric_key",

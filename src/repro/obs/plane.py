@@ -15,9 +15,8 @@ The plane owns three artifacts:
   :class:`~repro.obs.metrics.MetricsTicker` (JSONL/CSV + Prometheus text);
 * a provenance block for ``repro-sim fleet --json``.
 
-Everything here runs on simulated time; the wall-clock profiler
-(:mod:`repro.obs.profiler`) is deliberately *not* part of the plane — it is
-a perf-bench instrument, attached only by ``repro.metrics.perf``.
+Everything here runs on simulated time; host-time attribution belongs to
+the benchmark (``hostbench/run.py --trace 1``), not to the plane.
 """
 
 from __future__ import annotations

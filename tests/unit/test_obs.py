@@ -1,4 +1,4 @@
-"""Observability plane: spans, Perfetto export, metrics, and the profiler."""
+"""Observability plane: spans, Perfetto export, and metrics."""
 
 from __future__ import annotations
 
@@ -13,16 +13,13 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     ObservabilityConfig,
-    PhaseProfiler,
     SpanRecorder,
-    bucket_for_tag,
     build_trace,
     export_trace,
     metric_key,
     span_census,
     validate_trace,
 )
-from repro.simulation.engine import SimulationEngine
 from repro.workload.scenarios import get_scenario
 from repro.workload.trace import Trace
 
@@ -226,34 +223,6 @@ class TestLifecycleSpans:
         assert roots == {"shed"}
 
 
-class TestPhaseProfiler:
-    def test_bucket_mapping(self):
-        assert bucket_for_tag("fleet-arrival:7") == "routing"
-        assert bucket_for_tag("retry:3") == "lifecycle"
-        assert bucket_for_tag("fault:machine-fail:cluster-0/p0") == "faults"
-        assert bucket_for_tag("metrics-tick") == "observability"
-        assert bucket_for_tag("") == "machine-step"
-
-    def test_attach_detach_round_trip(self):
-        engine = SimulationEngine()
-        profiler = PhaseProfiler()
-        profiler.attach(engine)
-        assert profiler.attached
-        fired = []
-        engine.schedule_at(1.0, lambda: fired.append(1), priority=2, tag="arrival:1")
-        engine.run()
-        assert fired == [1]
-        snapshot = profiler.snapshot()
-        assert snapshot["routing"]["events"] == 1
-        assert snapshot["routing"]["wall_s"] >= 0.0
-        profiler.detach()
-        assert not profiler.attached
-        # The engine's own method is restored (class attribute, not wrapper).
-        assert "schedule_at" not in vars(engine)
-        with pytest.raises(RuntimeError):
-            profiler.attach(engine)
-            profiler.attach(engine)
-
-    def test_unobserved_fleet_has_no_plane(self):
-        fleet = FleetSimulation(splitwise_hh(1, 1), num_clusters=1)
-        assert fleet.obs is None
+def test_unobserved_fleet_has_no_plane():
+    fleet = FleetSimulation(splitwise_hh(1, 1), num_clusters=1)
+    assert fleet.obs is None
