@@ -8,8 +8,13 @@ behind the slo-feedback router and the cloud-burst provisioner, and a
 5-cluster static fleet run both serially and sharded across 4 workers.
 
 Each run must drain every request and end at exactly its pinned simulated
-time; the serial and sharded fleet runs must agree on every simulation
-output.  Host time is measured by ``hostbench/run.py``, not here.
+time.  Every serial run must also reproduce its pinned deterministic work
+counters (engine events processed/cancelled/coalesced, rotation engagements,
+recorded timeline boundaries and fast-forward run blocks), so an algorithmic
+change to the hot path fails on any host, and the three burst clusters must
+reproduce a digest of every request's token times and outcome.  The serial
+and sharded fleet runs must agree on every simulation output.  Host time is
+measured by ``hostbench/run.py``, not here.
 
 Run with::
 
@@ -17,6 +22,8 @@ Run with::
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from repro.core.cluster import ClusterSimulation
 from repro.core.designs import splitwise_hh
@@ -45,6 +52,70 @@ EXPECTED_SIM_TIME = {
     # sharded run that diverged from serial would trip here.
     "fleet-parallel": "258.6543126857196",
     "fleet-parallel-4w": "258.6543126857196",
+}
+
+
+#: Deterministic work counters of each serial scenario: a change here means
+#: the simulator did different work (more events, fewer coalesced
+#: iterations, extra rotation engagements), even if the outputs still match.
+EXPECTED_WORK = {
+    "4-machine": {
+        "events_processed": 10606,
+        "events_cancelled": 6,
+        "events_coalesced": 3559,
+        "rotation_runs": 6,
+        "boundaries_recorded": 6727,
+        "run_blocks_recorded": 189,
+    },
+    "16-machine": {
+        "events_processed": 41770,
+        "events_cancelled": 29,
+        "events_coalesced": 13603,
+        "rotation_runs": 24,
+        "boundaries_recorded": 25707,
+        "run_blocks_recorded": 789,
+    },
+    "40-machine": {
+        "events_processed": 105986,
+        "events_cancelled": 75,
+        "events_coalesced": 35200,
+        "rotation_runs": 62,
+        "boundaries_recorded": 64558,
+        "run_blocks_recorded": 1948,
+    },
+    "diurnal-autoscale": {
+        "events_processed": 19351,
+        "events_cancelled": 2495,
+        "events_coalesced": 55130,
+        "rotation_runs": 0,
+        "boundaries_recorded": 5641,
+        "run_blocks_recorded": 4536,
+    },
+    "fleet-burst": {
+        "events_processed": 21895,
+        "events_cancelled": 2793,
+        "events_coalesced": 84501,
+        "rotation_runs": 0,
+        "boundaries_recorded": 6312,
+        "run_blocks_recorded": 5218,
+    },
+    "fleet-parallel": {
+        "events_processed": 45112,
+        "events_cancelled": 5889,
+        "events_coalesced": 104975,
+        "rotation_runs": 0,
+        "boundaries_recorded": 13413,
+        "run_blocks_recorded": 10395,
+    },
+}
+
+#: sha256 over every request's token times and outcome (see
+#: :func:`_output_digest`) for the burst clusters.  ``sim_time_s`` alone only
+#: pins the last completion; this catches any token-time divergence.
+EXPECTED_DIGEST = {
+    "4-machine": "209e7199900274f2b09996ed5d0d81ee116db479b04f2d2e1c3ed72a64d2a7ce",
+    "16-machine": "edaae1af631b3b91d8d23c494b9c68f15775a98ded62ae8e85ad26a5d1e96662",
+    "40-machine": "17935f0daedf90b30910762023008feecf044133ab09af5dd4d3aed9070d5693",
 }
 
 
@@ -82,6 +153,24 @@ SCENARIOS = {
 
 
 _ENGINE_COUNTERS = ("events_processed", "events_cancelled", "events_coalesced")
+_WORK_COUNTERS = (*_ENGINE_COUNTERS, "rotation_runs", "boundaries_recorded", "run_blocks_recorded")
+
+
+def _output_digest(requests) -> str:
+    """sha256 of every request's token times, first-token and completion
+    times, generated count and final priority boost, in request-id order."""
+    hasher = hashlib.sha256()
+    for request in sorted(requests, key=lambda r: r.request_id):
+        outcome = (
+            request.request_id,
+            request.first_token_time,
+            request.completion_time,
+            request.generated_tokens,
+            request.priority_boost,
+        )
+        hasher.update(repr(outcome).encode())
+        hasher.update(request.token_times.tobytes())
+    return hasher.hexdigest()
 
 
 def _run(name: str) -> dict:
@@ -97,7 +186,13 @@ def _run(name: str) -> dict:
     else:
         counters = {key: getattr(simulation.engine, key) for key in _ENGINE_COUNTERS}
         counters["workers"] = 0
+        machines = simulation.machines
+        token_logs = {id(machine.token_log): machine.token_log for machine in machines}.values()
+        counters["rotation_runs"] = sum(machine.rotation_runs for machine in machines)
+        counters["boundaries_recorded"] = sum(log.boundaries_recorded() for log in token_logs)
+        counters["run_blocks_recorded"] = sum(log.run_blocks_recorded() for log in token_logs)
     return {
+        "digest": _output_digest(result.requests),
         "requests": len(trace),
         "completed": len(result.completed_requests),
         "tokens_generated": sum(r.generated_tokens for r in result.requests),
@@ -113,6 +208,11 @@ def test_perf_scaling():
         # is broken.
         assert out["completed"] == out["requests"], name
         assert repr(out["sim_time_s"]) == EXPECTED_SIM_TIME[name], name
+        if name in EXPECTED_WORK:
+            work = {key: out[key] for key in _WORK_COUNTERS}
+            assert work == EXPECTED_WORK[name], name
+        if name in EXPECTED_DIGEST:
+            assert out["digest"] == EXPECTED_DIGEST[name], name
 
     serial, sharded = outputs["fleet-parallel"], outputs["fleet-parallel-4w"]
     assert sharded["workers"] == 4
