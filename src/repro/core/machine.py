@@ -36,12 +36,13 @@ results bit-identical to per-iteration stepping:
   at the in-flight iteration's boundary.
 * **Oversubscribed rotation.**  With more pool members than batch slots, the
   aging round-robin is stepped through a
-  :class:`~repro.batching.rotation.RotationForest` in O(batch) per
-  iteration instead of O(pool).  Every rotation iteration keeps its own
-  event at the true boundary, so arrivals, admissions, completions, and
-  pool restores all happen at exact per-iteration times; withdrawals,
-  failures, or a binding KV budget flatten the forest back into the exact
-  policy path.
+  :class:`~repro.batching.rotation.RotationForest`, which holds the pool as
+  numpy slot arrays: selection, token recording, completion detection and
+  aging are a few vectorized operations per iteration instead of Python work
+  per member.  Every rotation iteration keeps its own event at the true
+  boundary, so arrivals, admissions, completions, and pool restores all
+  happen at exact per-iteration times; withdrawals, failures, or a binding
+  KV budget flatten the stepper back into the exact policy path.
 
 Disable both with ``fast_forward=False`` or ``REPRO_NO_FAST_FORWARD=1``.
 """
@@ -65,7 +66,7 @@ from repro.batching.policies import (
     PriorityOrderedView,
     priority_key,
 )
-from repro.batching.rotation import NO_COMPLETION_BOUND as _NO_COMPLETION_BOUND, RotationForest
+from repro.batching.rotation import RotationForest
 from repro.core.kv_transfer import KVTransferModel
 from repro.hardware.machine import MachineSpec
 from repro.metrics.collectors import MetricsCollector
@@ -92,8 +93,6 @@ _TOKEN_RUNNING = RequestPhase.TOKEN_RUNNING
 #: A steady-state run must cover at least this many decode iterations for the
 #: macro-event machinery to beat plain per-iteration stepping.
 _MIN_COALESCED_ITERATIONS = 2
-
-
 
 
 class AccountingError(AssertionError):
@@ -239,10 +238,10 @@ class SimulatedMachine:
         self._ff_recorded = 0
         self._ff_event = None
         self.fast_forward_runs = 0  # macro-events launched (introspection)
-        # Steady-state rotation state (oversubscribed pools): the level forest
-        # replaces the flat priority view while active, and the in-flight
-        # iteration's selection is precomputed one step ahead so admissions
-        # landing mid-iteration cannot retroactively join it.
+        # Steady-state rotation state (oversubscribed pools): the slot-array
+        # stepper replaces the flat priority view while active, and the
+        # in-flight iteration's selection is precomputed one step ahead so
+        # admissions landing mid-iteration cannot retroactively join it.
         self._rot_forest: RotationForest | None = None
         self._rot_selection = None
         self._rot_event = None
@@ -305,8 +304,8 @@ class SimulatedMachine:
             if float(request.priority_boost).is_integer():
                 # A steady-state rotation absorbs admissions without breaking:
                 # the in-flight iteration's batch is already fixed (exactly as
-                # a real in-flight iteration's is), and the forest places the
-                # newcomer at its boost level, where the next aging pass
+                # a real in-flight iteration's is), and the stepper ranks the
+                # newcomer at its boost, where the next aging pass
                 # boosts it just as the per-iteration path's
                 # admitted-during-iteration count would.
                 self._pool_by_id[request.request_id] = request
@@ -314,7 +313,7 @@ class SimulatedMachine:
                 self._kv_tokens += request.prompt_tokens + request.generated_tokens
                 self._rot_forest.insert(request)
                 return
-            # Non-integer boost (external writer): the forest can't represent
+            # Non-integer boost (external writer): the stepper can't represent
             # it; fall back to the exact flat path, like entry does.
             self._rotation_interrupt()
         self._ff_interrupt()
@@ -550,14 +549,11 @@ class SimulatedMachine:
         if self._ff_boundaries is not None:
             self._ff_sync()
         if self._rot_forest is not None:
-            # The flat view is dormant while the rotation forest owns the
-            # ordering; rebuild it (and the float boosts) for the cross-check,
-            # splicing the in-flight selection's extraction back in.  Deferred
-            # columnar state is settled so the recounts read exact values
-            # (the rotation re-anchors the members on its next service).
-            self._token_ready = PriorityOrderedView(self._rot_forest.flatten(self._rot_selection[0]))
-            for request in self._token_ready:
-                request._flush_service_indices()
+            # The flat view is dormant while the rotation stepper owns the
+            # ordering; rebuild it for the cross-check.  Flattening settles
+            # every member (generated count, phase, float boost), so the
+            # recounts read exact values; the stepper keeps running.
+            self._token_ready = PriorityOrderedView(self._rot_forest.flatten())
         recounts = {
             "_queued_prompt_tokens": sum(r.prompt_tokens for r in self.pending_prompts),
             "_running_prompt_tokens": self._running_plan.prompt_tokens if self._running_plan else 0,
@@ -600,8 +596,8 @@ class SimulatedMachine:
             return
         # Oversubscribed steady state: more pool members than batch slots and
         # a prefix-selecting policy — the pool enters the aging rotation,
-        # which the level forest steps in O(batch) per iteration instead of
-        # O(pool).  Every iteration keeps its own event at the true boundary
+        # which the slot-array stepper advances with a few vectorized
+        # operations per iteration.  Every iteration keeps its own event at the true boundary
         # (so cross-machine callbacks, prompt admissions, and pool restores
         # all run at exact per-iteration times); arrivals and admissions are
         # absorbed live, and only withdrawals, failures, or a binding KV
@@ -820,9 +816,6 @@ class SimulatedMachine:
             if request._tail_block is boundaries and request._tail_start + request._tail_count == start:
                 request._tail_count += count
             else:
-                # Settle any deferred rotation state before touching the
-                # generated count, then open (or re-home) the tail.
-                request._flush_service_indices()
                 request._close_tail()
                 request._tail_block = boundaries
                 request._tail_start = start
@@ -900,13 +893,13 @@ class SimulatedMachine:
     # -- oversubscribed-pool rotation ----------------------------------------------------
 
     def _try_enter_rotation(self) -> bool:
-        """Switch the pool into forest-backed rotation stepping.
+        """Switch the pool into slot-array rotation stepping.
 
         Returns False — leaving the caller on the exact policy path — when
         the pool carries non-integer boosts (external writer) or the very
         first iteration can't be composed (a KV-budget skip would be needed).
         """
-        forest = RotationForest.from_ordered_view(self._token_ready, track_runs=True)
+        forest = RotationForest.from_ordered_view(self._token_ready, self._timeline)
         if forest is None:
             return False
         self._rot_forest = forest
@@ -925,7 +918,7 @@ class SimulatedMachine:
 
         Reproduces the per-iteration start path exactly — FCFS prompt
         admission, prefix token selection, the same latency/energy/metric
-        calls — against the forest instead of the flat view.  The iteration
+        calls — against the stepper instead of the flat view.  The iteration
         is fixed here, one boundary ahead, so later arrivals cannot join it,
         just as a real in-flight plan is fixed at its start.  Returns False
         (without side effects) when composition needs the exact policy path.
@@ -954,6 +947,7 @@ class SimulatedMachine:
         )
         if selection is None:
             return False
+        rows, context = selection
 
         prompts: list[Request] = []
         if prompt_count:
@@ -965,17 +959,15 @@ class SimulatedMachine:
                 queued_by_id.pop(request.request_id, None)
             self._queued_prompt_tokens -= prompt_tokens
             self._running_prompt_tokens = prompt_tokens
-        token_requests = selection.count
-        # The plan's token list is materialized lazily: the stepper services
-        # the selection's segments directly, and every reader of a rotation
-        # plan's ``token_requests`` (interrupts, failures) goes through
-        # ``_rotation_interrupt``, which rebuilds the list from the
-        # flattened view anyway.
+        token_requests = len(rows)
+        # The plan's token list is materialized only if the iteration is
+        # handed back to the exact path (``_rotation_interrupt``); the
+        # stepper services the selected rows directly.
         plan = BatchPlan(
             prompt_requests=prompts,
             token_requests=[],
             prompt_tokens=prompt_tokens,
-            context_tokens=selection.context,
+            context_tokens=context,
         )
         self._running_plan = plan
 
@@ -989,9 +981,7 @@ class SimulatedMachine:
         # uncached path computes the same value operation-for-operation
         # without touching it.
         token_latency = (
-            self.performance.token_latency_uncached(token_requests, selection.context)
-            if token_requests
-            else 0.0
+            self.performance.token_latency_uncached(token_requests, context) if token_requests else 0.0
         )
         duration = prompt_latency + token_latency
 
@@ -1012,7 +1002,7 @@ class SimulatedMachine:
             for request in prompts:
                 request.start_prompt(now, name)
 
-        self._rot_selection = (selection, plan, prompt_latency)
+        self._rot_selection = (rows, plan, prompt_latency)
         self._rot_event = self.engine.schedule_after(
             duration, self._on_rotation_step, priority=FINISH_EVENT_PRIORITY, tag=self._rot_tag
         )
@@ -1023,14 +1013,14 @@ class SimulatedMachine:
         forest = self._rot_forest
         if self.failed or forest is None:  # pragma: no cover - defensive; exits cancel the stepper
             return
-        selection, plan, prompt_latency = self._rot_selection
+        rows, plan, prompt_latency = self._rot_selection
         now = self.engine.now
         self._running_prompt_tokens = 0
         self._running_plan = None
 
+        on_request_complete = self.on_request_complete
         if plan.prompt_requests:
             on_prompt_complete = self.on_prompt_complete
-            on_request_complete = self.on_request_complete
             for request in plan.prompt_requests:
                 request.finish_prompt(now)
                 if on_prompt_complete is not None:
@@ -1038,130 +1028,31 @@ class SimulatedMachine:
                 if request.phase is _COMPLETED and on_request_complete is not None:
                     on_request_complete(request, self)
 
-        offset = forest.offset
-        pool_by_id = self._pool_by_id
-        on_request_complete = self.on_request_complete
-        serviced = 0
-        kv_delta = 0
-        completed_extracted_context = 0
-        split_level = selection.split_level
-        split_completed = False
-        # Columnar recording with deferred member state: the boundary
-        # timestamp is appended once to the machine's timeline block and
-        # each serviced member appends the boundary's *position* to its
-        # own packed index column — the steady-state loop is that one
-        # C-level integer append.  ``generated_tokens``/``phase`` catch
-        # up lazily (the true count is derivable from the column), and
-        # completions are settled exactly at the boundaries where a
-        # run's conservative min-remaining bound says the earliest
-        # member can finish.
-        timeline = self._timeline
-        if selection.count:
+        # Columnar recording: the boundary timestamp is appended once to the
+        # machine's timeline block and the stepper scatters its position into
+        # the service index buffer of every batched member.  Completions are
+        # settled in priority order, the order the per-iteration path uses.
+        completed = rows
+        serviced = len(rows)
+        if serviced:
+            timeline = self._timeline
             timeline.append(now)
-            index = len(timeline) - 1
-        split_bound = selection.split_bound
-        for level, run, members in selection.segments:
-            count = len(members)
-            serviced += count
-            if run is not None:
-                # Every live member's effective context grew by one.
-                run.context += count
-            for request in members:
-                if request._svc_block is timeline:
-                    request._svc_indices.append(index)
-                else:
-                    # Mode/machine switch: seal the other open run first
-                    # so segments stay chronological, then re-anchor the
-                    # derived-count invariant.
-                    request._flush_service_indices()
-                    request._close_tail()
-                    indices = request._svc_indices
-                    if indices is None:
-                        indices = request._svc_indices = array("q")
-                    request._svc_block = timeline
-                    request._svc_base = request.generated_tokens - len(indices)
-                    indices.append(index)
-            completed = None
-            bound = (run.min_remaining if run is not None else split_bound) - 1
-            if bound <= 0:
-                # The earliest member may finish at this boundary: settle
-                # completions exactly and re-derive the bound.  (Bounds
-                # are conservative — chops inherit them — so the walk may
-                # find nothing and simply tighten.)
-                boost = float(
-                    (level.stored if level is not None else split_level.stored) + offset
-                )
-                bound = _NO_COMPLETION_BOUND
-                for request in members:
-                    remaining = (
-                        request.output_tokens
-                        - request._svc_base
-                        - len(request._svc_indices)
-                    )
-                    if remaining == 0:
-                        request.generated_tokens = generated = request.output_tokens
-                        request.phase = _COMPLETED
-                        request.completion_time = now
-                        request.priority_boost = boost
-                        if completed is None:
-                            completed = []
-                        pre_context = request.prompt_tokens + generated - 1
-                        completed.append((request, pre_context))
-                        if level is None:
-                            completed_extracted_context += pre_context
-                            split_completed = True
-                        else:
-                            run.context -= pre_context + 1
-                        del pool_by_id[request.request_id]
-                        kv_delta -= request.prompt_tokens + generated
-                        if on_request_complete is not None:
-                            on_request_complete(request, self)
-                    elif remaining < bound:
-                        if remaining < 0:  # pragma: no cover - defensive
-                            raise RuntimeError(
-                                f"request {request.request_id} already complete"
-                            )
-                        bound = remaining
-            if run is not None:
-                run.min_remaining = bound
-            else:
-                split_bound = bound
-            # Level-cache maintenance folded from note_serviced: every
-            # serviced survivor's context grew by one; completers leave
-            # their level entirely (split members are not levelled).
-            if level is not None:
-                survivors_here = count
-                if completed is not None:
-                    removed_context = 0
-                    for _request, pre_context in completed:
-                        removed_context += pre_context
-                    level.size -= len(completed)
-                    level.context -= removed_context
-                    done = {id(_request) for _request, _ in completed}
-                    run.members = [r for r in run.live() if id(r) not in done]
-                    run.start = 0
-                    survivors_here -= len(completed)
-                level.context += survivors_here
-        self._pool_decode_tokens -= serviced
-        self._kv_tokens += serviced + kv_delta
-        if split_level is not None:
-            if split_completed:
-                survivors = [r for r in selection.extracted if r.phase is not _COMPLETED]
-            else:
-                survivors = selection.extracted
-            # Post-service context of the surviving extraction, without
-            # re-walking it: pre-service total, minus completed members'
-            # pre-service contexts, plus one generated token per survivor.
-            survivors_context = selection.extracted_context - completed_extracted_context + len(survivors)
-            survivors_bound = split_bound
-        else:
-            survivors = []
-            survivors_context = 0
-            survivors_bound = _NO_COMPLETION_BOUND
-        forest.commit_aging(selection, survivors, survivors_context, survivors_bound)
+            completed = forest.service(rows, len(timeline) - 1)
+            kv_delta = 0
+            if len(completed):
+                pool_by_id = self._pool_by_id
+                for row in completed.tolist():
+                    request = forest.complete(row, now)
+                    del pool_by_id[request.request_id]
+                    kv_delta -= request.prompt_tokens + request.generated_tokens
+                    if on_request_complete is not None:
+                        on_request_complete(request, self)
+            self._pool_decode_tokens -= serviced
+            self._kv_tokens += serviced + kv_delta
+        forest.commit_aging(rows, completed)
         if self.on_iteration_complete is not None:
             self.on_iteration_complete(self)
-        if len(pool_by_id) <= self.constraints.max_batch_size:
+        if len(self._pool_by_id) <= self.constraints.max_batch_size:
             # The pool now fits one batch: hand over to the full-pool
             # coalescing (or plain stepping) via a fresh planning pass.
             self._rotation_close()
@@ -1171,25 +1062,22 @@ class SimulatedMachine:
 
     def _rotation_close(self) -> None:
         """Exit rotation at an iteration boundary and re-plan normally."""
-        self._materialize_rotation(None)
+        self._materialize_rotation()
         self._busy = False
         self._start_iteration()
 
-    def _materialize_rotation(self, inflight) -> None:
-        """Flatten the forest back into the flat priority view (+ float boosts).
+    def _materialize_rotation(self) -> None:
+        """Flatten the stepper back into the flat priority view.
 
-        Columnar members settle their deferred state on the way out: every
-        consumer of the flat view (policies, fast-forward planning, restart
-        withdrawals) reads ``generated_tokens`` directly.
+        Every member leaves settled (generated count, phase, float boost,
+        closed token segments): the consumers of the flat view (policies,
+        fast-forward planning, restart withdrawals) read them directly.
         """
         forest = self._rot_forest
         self._rot_forest = None
         self._rot_selection = None
         self._rot_event = None
-        flat = forest.flatten(inflight)
-        for request in flat:
-            request._flush_service_indices()
-        self._token_ready = PriorityOrderedView(flat)
+        self._token_ready = PriorityOrderedView(forest.flatten())
 
     def _rotation_interrupt(self) -> None:
         """Fall back to per-iteration stepping before a pool transition.
@@ -1197,20 +1085,18 @@ class SimulatedMachine:
         The in-flight iteration keeps its already-fixed batch: its stepper
         event is replaced by a normal finish event at the same boundary (so
         completions, aging, and withdrawals take the standard code path), and
-        the forest is flattened back into the flat view the standard path
+        the stepper is flattened back into the flat view the standard path
         maintains.
         """
         if self._rot_forest is None:
             return
-        selection, plan, prompt_latency = self._rot_selection
+        rows, plan, prompt_latency = self._rot_selection
         boundary = self._rot_event.time
         self.engine.cancel(self._rot_event)
-        self._materialize_rotation(selection)
-        # The token selection is by construction the first `count` members of
-        # the flat view; re-slicing the rebuilt view yields the same set in
-        # exact view order, which the aging pass's subsequence walk relies on
-        # (sibling-run segments may interleave within a level).
-        plan.token_requests = list(self._token_ready[: selection.count])
+        # The batch in priority order: a subsequence of the flattened view,
+        # which the aging pass's two-pointer walk relies on.
+        plan.token_requests = self._rot_forest.requests(rows)
+        self._materialize_rotation()
         self._running_plan = plan
         self._finish_plan = plan
         self._finish_prompt_latency = prompt_latency
@@ -1375,9 +1261,6 @@ class SimulatedMachine:
                 if request._tail_block is timeline and request._tail_start + request._tail_count == index:
                     request._tail_count += 1
                 else:
-                    # Settle any deferred rotation state before reading the
-                    # generated count, then open a fresh tail.
-                    request._flush_service_indices()
                     request._close_tail()
                     request._tail_block = timeline
                     request._tail_start = index

@@ -28,10 +28,11 @@ Segment encoding (plain tuples, discriminated by arity):
     reference their precomputed boundary series directly, and per-iteration
     stepping coalesces consecutive services on one machine into one slice.
 ``(block, indices, start, stop)``
-    A gather: ``block[indices[start:stop]]`` with ``indices`` a packed
-    ``array('q')`` of boundary positions — rotation service runs share one
-    index column per :class:`~repro.batching.rotation.RotationRun`, so a
-    request serviced by the run for fifty iterations costs one 4-tuple.
+    A gather: ``block[indices[start:stop]]`` with ``indices`` an int64
+    buffer of boundary positions — the rotation stepper's service-index
+    buffer (see :mod:`repro.batching.rotation`), where each member owns a
+    region, so a request serviced fifty times while it rotated costs one
+    4-tuple, written when it leaves the stepper.
 
 Materialization is numpy-backed: blocks are viewed zero-copy with
 ``np.frombuffer`` and slices/gathers are copied out with C-level memory

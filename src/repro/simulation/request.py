@@ -15,31 +15,17 @@ construction — attribute reads on the hot path cost one slot lookup instead
 of a property call plus a descriptor indirection.
 
 **Token telemetry is columnar** (see :mod:`repro.metrics.token_log`): the
-simulator no longer appends one timestamp per generated token.  Machines and
-the rotation steppers record *segments* — compact references into shared
-timestamp blocks, one per coalesced run or service run — and
-:attr:`Request.token_times` inverts them into the legacy packed
-``array('d')`` lazily on first observation, bit-for-bit identical to the old
-per-token recording.  The open-run state lives directly in request slots so
-the recording hot paths touch no other object:
-
-* ``_tail_block``/``_tail_start``/``_tail_count`` — an open *contiguous*
-  run: the request was serviced at consecutive positions of one block
-  (per-iteration stepping on one machine, or a fast-forward boundary
-  series).
-* ``_svc_block``/``_svc_indices``/``_svc_base``/``_svc_flushed`` — an open
-  *gather* run: the request's own index column.  Rotation services are
-  sparse on the machine timeline (a member is serviced every k-th boundary
-  while it rotates), so the stepper appends the boundary's *position* to the
-  request's packed ``array('q')`` — one C-level integer append per service,
-  with the timestamp itself stored exactly once in the machine's block.
-  While the column is open, ``generated_tokens`` and ``phase`` are
-  *deferred*: the true generated count is ``_svc_base + len(_svc_indices)``
-  (an invariant every settle preserves), so the rotation stepper's
-  steady-state loop is reduced to the one index append.  ``_svc_flushed``
-  marks the prefix already sealed into gather segments; sealing and settling
-  happen together when the request switches machines or recording modes, is
-  observed, or completes.
+simulator no longer appends one timestamp per generated token.  Machines
+record *segments* — compact references into shared timestamp blocks, one
+per coalesced run or service run — and :attr:`Request.token_times` inverts
+them into the legacy packed ``array('d')`` lazily on first observation,
+bit-for-bit identical to the old per-token recording.  The one open run, a
+*contiguous* one, lives in request slots (``_tail_block``/``_tail_start``/
+``_tail_count``): the request was serviced at consecutive positions of one
+block (per-iteration stepping on one machine, or a fast-forward boundary
+series).  Rotation services are recorded by the stepper
+(:mod:`repro.batching.rotation`), which leaves the request untouched while
+it rotates and appends one closed *gather* segment when it leaves.
 """
 
 from __future__ import annotations
@@ -141,10 +127,6 @@ class Request:
         "_tail_block",
         "_tail_start",
         "_tail_count",
-        "_svc_block",
-        "_svc_indices",
-        "_svc_base",
-        "_svc_flushed",
     )
 
     def __init__(self, descriptor: RequestDescriptor, phase: RequestPhase = RequestPhase.QUEUED) -> None:
@@ -172,16 +154,12 @@ class Request:
         self.expired = False
         self.degraded = False
         # Columnar token telemetry: materialized prefix + pending segments +
-        # the open contiguous / rotation runs (see the module docstring).
+        # the open contiguous run (see the module docstring).
         self._token_times: array = array("d")
         self._token_segments: list | None = None
         self._tail_block: array | None = None
         self._tail_start = 0
         self._tail_count = 0
-        self._svc_block: array | None = None
-        self._svc_indices: array | None = None
-        self._svc_base = 0
-        self._svc_flushed = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -221,32 +199,6 @@ class Request:
             segments.append((block, start, start + self._tail_count))
             self._tail_block = None
 
-    def _flush_service_indices(self) -> None:
-        """Seal the open index column and settle the deferred member state.
-
-        Appends the unflushed index window as a gather segment, catches
-        ``generated_tokens`` up to ``_svc_base + len(_svc_indices)``, and
-        applies the deferred ``TOKEN_RUNNING`` transition.  Idempotent and
-        safe at any instant — the request's *effective* state is unchanged,
-        only its stored representation catches up."""
-        block = self._svc_block
-        if block is not None:
-            indices = self._svc_indices
-            flushed = self._svc_flushed
-            stop = len(indices)
-            if stop > flushed:
-                segments = self._token_segments
-                if segments is None:
-                    segments = self._token_segments = []
-                segments.append((block, indices, flushed, stop))
-                self._svc_flushed = stop
-            pending = self._svc_base + stop - self.generated_tokens
-            if pending > 0:
-                self.generated_tokens += pending
-                if self.phase is not RequestPhase.COMPLETED:
-                    self.phase = RequestPhase.TOKEN_RUNNING
-            self._svc_block = None
-
     @property
     def token_times(self) -> array:
         """Emission time of every generated token (packed ``array('d')``).
@@ -256,8 +208,7 @@ class Request:
         bit-for-bit.  The returned array is the live backing store — callers
         may append to it (legacy recording does exactly that).
         """
-        if self._svc_block is not None or self._tail_block is not None or self._token_segments:
-            self._flush_service_indices()
+        if self._tail_block is not None or self._token_segments:
             self._close_tail()
             segments = self._token_segments
             if segments:
@@ -282,8 +233,6 @@ class Request:
         """Record the first output token (end of the prompt phase)."""
         if self.first_token_time is None:
             self.first_token_time = time
-        # Recording first: the append settles any deferred columnar state,
-        # so the increment below applies to the settled count.
         self._append_token_time(time)
         generated = self.generated_tokens + 1
         self.generated_tokens = generated
@@ -310,8 +259,6 @@ class Request:
         """
         if self.phase is RequestPhase.COMPLETED:
             raise RuntimeError(f"request {self.request_id} already complete")
-        # Recording first: the append settles any deferred columnar state,
-        # so the increment below applies to the settled count.
         self._append_token_time(time)
         generated = self.generated_tokens + 1
         self.generated_tokens = generated
@@ -373,10 +320,6 @@ class Request:
         self._token_times = array("d", winner.token_times)
         self._token_segments = None
         self._tail_block = None
-        self._svc_block = None
-        self._svc_indices = None
-        self._svc_base = 0
-        self._svc_flushed = 0
         self.generated_tokens = winner.generated_tokens
 
     def reset_for_restart(self) -> None:
@@ -399,10 +342,6 @@ class Request:
         self._token_times = array("d")
         self._token_segments = None
         self._tail_block = None
-        self._svc_block = None
-        self._svc_indices = None
-        self._svc_base = 0
-        self._svc_flushed = 0
         self.generated_tokens = 0
         self.kv_transfer_start = None
         self.kv_transfer_end = None

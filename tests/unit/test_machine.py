@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core.machine import MachineRole, SimulatedMachine
 from repro.hardware.machine import DGX_H100
@@ -406,3 +408,82 @@ class TestDecodeFastForward:
         assert not machine.performance._token_cache
         engine.run()
         assert machine.metrics.machine_stats("t0").tokens_generated > 0
+
+
+class TestRotationParityProperty:
+    """Fast-forward on/off parity on oversubscribed single decode machines.
+
+    With more pool members than batch slots the fast-forward machine runs the
+    slot-array rotation stepper; the reference steps every iteration through
+    the batching policy.  Admissions land mid-rotation out of arrival order
+    (and some arrive already complete), and one member may be withdrawn
+    mid-rotation, which hands the in-flight iteration back to the exact path.
+    """
+
+    @seed(20261017)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rotation_matches_per_iteration_stepping(self, data):
+        batch = data.draw(st.integers(min_value=2, max_value=8), label="batch")
+        pool = data.draw(st.integers(min_value=batch + 1, max_value=4 * batch), label="pool")
+        # Output 2 is a single decode token; late output-1 requests arrive
+        # already complete.
+        outputs = data.draw(st.lists(st.integers(2, 24), min_size=pool, max_size=pool), label="outputs")
+        late = data.draw(
+            st.lists(
+                st.tuples(
+                    st.floats(0.0, 0.4),  # admission time
+                    st.floats(0.0, pool * 0.001),  # arrival: interleaves the pool's
+                    st.integers(1, 24),  # output tokens
+                ),
+                max_size=6,
+            ),
+            label="late",
+        )
+        withdrawal = data.draw(
+            st.none() | st.tuples(st.floats(0.0, 0.4), st.integers(0, pool - 1)), label="withdrawal"
+        )
+        runs = []
+        for fast_forward in (False, True):
+            engine = SimulationEngine()
+            machine = _decode_pool_machine(engine, outputs, fast_forward=fast_forward, max_batch_size=batch)
+            requests = machine.token_pool
+            for offset, (at, arrival, output) in enumerate(late):
+                request = _request(1000 + offset, prompt=150, output=output, arrival=arrival)
+                request.start_prompt(0.0, "p")
+                request.finish_prompt(0.0)
+                engine.schedule_at(at, lambda m=machine, r=request: m.admit_token_request(r))
+                requests.append(request)
+            if withdrawal is not None:
+                at, index = withdrawal
+                engine.schedule_at(at, lambda m=machine, r=requests[index]: m.withdraw(r))
+            engine.run()
+            machine.verify_accounting()
+            stats = machine.metrics.machine_stats("t0")
+            runs.append(
+                (
+                    [
+                        (
+                            r.request_id,
+                            list(r.token_times),
+                            r.completion_time,
+                            r.generated_tokens,
+                            r.priority_boost,
+                            r.phase,
+                        )
+                        for r in requests
+                    ],
+                    (
+                        stats.iterations,
+                        stats.busy_time_s,
+                        stats.energy_wh,
+                        stats.tokens_generated,
+                        sorted(stats.occupancy.as_mapping().items()),
+                    ),
+                    machine.rotation_runs,
+                )
+            )
+        (reference, reference_stats, _), (stepped, stepped_stats, rotations) = runs
+        assert rotations > 0
+        assert stepped == reference
+        assert stepped_stats == reference_stats

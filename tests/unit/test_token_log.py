@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.metrics.token_log import TokenLog, materialize_into, segment_token_count
-from repro.simulation.request import Request, RequestPhase
+from repro.simulation.request import Request
 from repro.workload.trace import RequestDescriptor
 
 
@@ -98,13 +98,15 @@ class TestRequestLazyViews:
     def test_token_times_materializes_index_column(self):
         request = _request()
         timeline = array("d", [0.1, 0.2, 0.3, 0.4])
-        request._svc_block = timeline
-        request._svc_indices = array("q", [0, 2])
-        request._svc_base = 0
-        assert list(request.token_times) == [0.1, 0.3]
-        # The settle also caught up the deferred generated count.
-        assert request.generated_tokens == 2
-        assert request.phase is RequestPhase.TOKEN_RUNNING
+        # An open tail first, then a gather segment over a numpy index buffer
+        # (the rotation stepper's layout): the tail is sealed ahead of it.
+        request._tail_block = timeline
+        request._tail_start = 0
+        request._tail_count = 1
+        request._token_segments = None
+        request._close_tail()
+        request._token_segments.append((timeline, np.array([7, 1, 3, 9], dtype=np.int64), 1, 3))
+        assert list(request.token_times) == [0.1, 0.2, 0.4]
 
     def test_token_intervals_vectorized_matches_scalar(self):
         request = _request(output_tokens=4)
@@ -118,14 +120,16 @@ class TestRequestLazyViews:
 
     def test_reset_for_restart_clears_columnar_state(self):
         request = _request()
-        timeline = array("d", [0.5])
-        request._svc_block = timeline
-        request._svc_indices = array("q", [0])
-        request._svc_base = 0
+        timeline = array("d", [0.5, 0.6])
+        request._token_segments = [(timeline, array("q", [0]), 0, 1)]
+        request._tail_block = timeline
+        request._tail_start = 1
+        request._tail_count = 1
+        request.generated_tokens = 2
         request.reset_for_restart()
         assert request.generated_tokens == 0
         assert list(request.token_times) == []
-        assert request._svc_block is None
+        assert request._tail_block is None
         assert request.restarts == 1
 
     def test_direct_append_keeps_working(self):
