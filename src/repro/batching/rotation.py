@@ -73,7 +73,7 @@ class RotationForest:
     Args:
         timeline: The machine's boundary-timestamp block; the service index
             buffer holds positions into it.
-        capacity: Initial row capacity (grown by doubling).
+        capacity: Initial row capacity (grown by doubling; at least 1).
     """
 
     __slots__ = (
@@ -92,7 +92,7 @@ class RotationForest:
         "order",
     )
 
-    def __init__(self, timeline: array, capacity: int = 16) -> None:
+    def __init__(self, timeline: array, capacity: int) -> None:
         self.timeline = timeline
         self.members: list = []
         self.size = 0  # rows in use, tombstones included

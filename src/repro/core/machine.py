@@ -1032,7 +1032,7 @@ class SimulatedMachine:
         # machine's timeline block and the stepper scatters its position into
         # the service index buffer of every batched member.  Completions are
         # settled in priority order, the order the per-iteration path uses.
-        completed = rows
+        completed = rows  # empty unless a token member ran
         serviced = len(rows)
         if serviced:
             timeline = self._timeline
