@@ -348,17 +348,13 @@ class ClusterSimulation:
     # it drives each member cluster through prepare() before the run and
     # finish() after, instead of calling run().
 
-    def prepare(self, failures: Sequence[tuple[float, str]] = ()) -> None:
-        """Arm the cluster for a run on its (possibly shared) engine.
-
-        Attaches the autoscaler's control loop and schedules any failure
-        injections.  Called by :meth:`run`, or by a fleet simulation before
-        it starts scheduling arrivals.
+    def validate_failures(self, failures: Sequence[tuple[float, str]]) -> None:
+        """Check failure injections without arming anything.
 
         Raises:
             ValueError: if a failure injection names a machine this cluster
-                does not have, or fires at a negative time.  Validated here,
-                at scenario-build time, so a typo surfaces as a clear error
+                does not have, or fires at a negative time.  Validated at
+                scenario-build time, so a typo surfaces as a clear error
                 before the run instead of a mid-simulation ``KeyError``.
         """
         known = {machine.name for machine in self.machines}
@@ -373,6 +369,19 @@ class ClusterSimulation:
                 raise ValueError(
                     f"failure injection for {machine_name!r} has negative time {failure_time}"
                 )
+
+    def prepare(self, failures: Sequence[tuple[float, str]] = ()) -> None:
+        """Arm the cluster for a run on its (possibly shared) engine.
+
+        Attaches the autoscaler's control loop and schedules any failure
+        injections.  Called by :meth:`run`, or by a fleet simulation before
+        it starts scheduling arrivals.
+
+        Raises:
+            ValueError: on an invalid failure injection (see
+                :meth:`validate_failures`), before anything is armed.
+        """
+        self.validate_failures(failures)
         if self.autoscaler is not None:
             self.autoscaler.attach(self.engine, self.scheduler)
         for failure_time, machine_name in failures:

@@ -323,17 +323,14 @@ class FleetSimulation:
             them.  Any of these four being set creates the fleet's
             :class:`~repro.fleet.reliability.ReliabilityCoordinator`.
         parallel: Request sharded execution with this many workers (see
-            :mod:`repro.simulation.sharding`).  ``1`` runs the shard
-            barrier loop in-process (no worker processes); ``None`` (the
-            default) keeps the plain serial engine.  Fleets whose
+            :mod:`repro.simulation.sharding`).  ``1`` runs every shard
+            in-process, one after another (no worker processes); ``None``
+            (the default) keeps the plain serial engine.  Fleets whose
             configuration couples clusters mid-run (non-weighted-rr
             routing, provisioner, reliability/admission/lifecycle, armed
             faults, observability, autoscalers) fall back to the serial
             path automatically, recording the reasons in
             :attr:`parallel_info`.
-        epoch_s: Barrier spacing for sharded execution; ``None`` derives a
-            default from the trace window.  Any positive value is
-            parity-correct — this only bounds shard lag.
         **cluster_kwargs: Forwarded to every member
             :class:`ClusterSimulation` (batching, routing, thresholds,
             ``fast_forward``, ...).
@@ -357,7 +354,6 @@ class FleetSimulation:
         deadlines: DeadlineConfig | None = None,
         degraded: DegradedConfig | None = None,
         parallel: int | None = None,
-        epoch_s: float | None = None,
         **cluster_kwargs,
     ) -> None:
         if num_clusters < 1:
@@ -374,11 +370,8 @@ class FleetSimulation:
             raise ValueError("burst_clusters require a provisioner to activate them")
         if parallel is not None and parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {parallel}")
-        if epoch_s is not None and epoch_s <= 0:
-            raise ValueError(f"epoch_s must be positive, got {epoch_s}")
         self.model = model
         self.parallel = parallel
-        self.epoch_s = epoch_s
         #: Provenance of the last run's execution mode: ``None`` until a
         #: run with ``parallel`` set completes (or falls back), then a dict
         #: with requested/effective worker and shard counts, the mode, and
@@ -640,6 +633,28 @@ class FleetSimulation:
 
     # -- running -----------------------------------------------------------------------
 
+    def _failures_by_cluster(
+        self, failures: Sequence[tuple[float, str]]
+    ) -> dict[str, list[tuple[float, str]]]:
+        """Group failure injections by member cluster, validating every one.
+
+        Raises:
+            ValueError: if a failure names a machine in no member cluster,
+                or fires at a negative time.
+        """
+        grouped: dict[str, list[tuple[float, str]]] = {c.name: [] for c in self.clusters}
+        for time_s, name in failures:
+            cluster_name, slash, _ = name.partition("/")
+            if not slash or cluster_name not in grouped:
+                raise ValueError(
+                    f"failure names machine {name!r} outside every cluster "
+                    f"(expected a '<cluster>/' prefix)"
+                )
+            grouped[cluster_name].append((time_s, name))
+        for cluster in self.clusters:
+            cluster.simulation.validate_failures(grouped[cluster.name])
+        return grouped
+
     def run(
         self,
         trace: Trace,
@@ -661,25 +676,20 @@ class FleetSimulation:
             The populated :class:`FleetResult`.
 
         Raises:
-            ValueError: if a failure names a machine in no member cluster.
+            ValueError: if a failure names a machine in no member cluster,
+                or fires at a negative time.
         """
         requests = [Request(descriptor=descriptor) for descriptor in trace]
-        # Validate inputs before arming anything: a bad failure name must not
+        # Validate inputs before arming anything: a bad failure must not
         # leave the shared engine holding scheduled events and attached
-        # control loops that cannot be re-attached.
-        known_prefixes = tuple(f"{c.name}/" for c in self.clusters)
-        for _, name in failures:
-            if not name.startswith(known_prefixes):
-                raise ValueError(
-                    f"failure names machine {name!r} outside every cluster "
-                    f"(expected a '<cluster>/' prefix)"
-                )
+        # control loops that cannot be re-attached, nor start shard workers.
+        failures_of = self._failures_by_cluster(failures)
         if self.parallel is not None:
             from repro.simulation.sharding import plan_shards
 
             plan = plan_shards(self, self.parallel, drain=drain, horizon_s=horizon_s)
             if plan.mode == "parallel":
-                return self._run_sharded(trace, requests, failures, plan)
+                return self._run_sharded(trace, requests, failures_of, plan)
             # Coupled configuration: fall through to the exact serial path
             # below (results are trivially byte-identical to an unparallel
             # run), keeping the blocking reasons as provenance.
@@ -718,10 +728,7 @@ class FleetSimulation:
                     )
                 )
         for cluster in self.clusters:
-            prefix = f"{cluster.name}/"
-            cluster.simulation.prepare(
-                [(t, name) for t, name in failures if name.startswith(prefix)]
-            )
+            cluster.simulation.prepare(failures_of[cluster.name])
         if self.router.reliability is not None:
             # After prepare(): the autoscalers have claimed the
             # machine-failure hooks by now, so chaining sees them.
@@ -803,7 +810,7 @@ class FleetSimulation:
         self,
         trace: Trace,
         requests: list[Request],
-        failures: Sequence[tuple[float, str]],
+        failures_of: dict[str, list[tuple[float, str]]],
         plan: "ShardPlan",
     ) -> FleetResult:
         """Run a decomposable fleet as per-cluster-group engine shards.
@@ -812,9 +819,9 @@ class FleetSimulation:
         execute arrivals in ``(arrival_time, trace_index)`` heap order, and
         weighted-rr routing depends only on that order, so pre-routing
         through the same router instance reproduces the serial assignment
-        exactly.  Shards then simulate their cluster groups between
-        bounded-lag barriers (:func:`repro.simulation.sharding.execute_shards`)
-        and the results merge positionally by trace index and machine name.
+        exactly.  Each shard then simulates its cluster group start to
+        finish (:func:`repro.simulation.sharding.execute_shards`) and the
+        results merge positionally by trace index and machine name.
         """
         from repro.simulation import sharding
 
@@ -829,21 +836,12 @@ class FleetSimulation:
             for name in names:
                 shard_of[name] = shard_index
         order = sorted(range(len(requests)), key=lambda i: (requests[i].arrival_time, i))
-        arrivals: list[list[tuple[float, sharding.ArrivalMessage]]] = [
-            [] for _ in plan.assignments
-        ]
+        arrivals: list[list[sharding.ArrivalMessage]] = [[] for _ in plan.assignments]
         for index in order:
             request = requests[index]
             cluster = self.router.route(request)
             cluster.requests.append(request)
-            arrivals[shard_of[cluster.name]].append(
-                (request.arrival_time, (index, request.descriptor, cluster.name))
-            )
-        epoch_s = (
-            self.epoch_s
-            if self.epoch_s is not None
-            else sharding.default_epoch_s(trace.duration_s)
-        )
+            arrivals[shard_of[cluster.name]].append((index, request.descriptor, cluster.name))
         cluster_kwargs = tuple(sorted(self._cluster_kwargs.items()))
         specs = [
             sharding.ShardSpec(
@@ -852,14 +850,12 @@ class FleetSimulation:
                 design=self._design,
                 model=self.model,
                 cluster_kwargs=cluster_kwargs,
-                failures=tuple(failures),
+                failures=tuple(tuple(failures_of[name]) for name in names),
                 sanitize=self.engine.sanitize,
             )
             for shard_index, names in enumerate(plan.assignments)
         ]
-        results, epochs, last_event_time = sharding.execute_shards(
-            specs, arrivals, epoch_s, use_processes=plan.workers > 0
-        )
+        results = sharding.execute_shards(specs, arrivals, use_processes=plan.workers > 0)
         by_name = {cluster.name: cluster for cluster in self.clusters}
         for shard_result in results:
             for row in shard_result.request_rows:
@@ -874,7 +870,7 @@ class FleetSimulation:
             completed = sum(1 for request in cluster.requests if request.is_complete)
             self.router.traffic[cluster.name].completed = completed
             self._completed += completed
-        duration = max(last_event_time, trace.duration_s)
+        duration = max(trace.duration_s, *(r.end_time for r in results))
         cluster_results = {
             cluster.name: cluster.simulation.finish(cluster.requests, trace.name, duration)
             for cluster in self.clusters
@@ -884,8 +880,6 @@ class FleetSimulation:
             "mode": "parallel",
             "workers": plan.workers,
             "shards": plan.shard_count,
-            "epoch_s": epoch_s,
-            "epochs": epochs,
             "events_processed": sum(r.events_processed for r in results),
             "events_cancelled": sum(r.events_cancelled for r in results),
             "events_coalesced": sum(r.events_coalesced for r in results),

@@ -1,22 +1,22 @@
 """Sharded fleet execution is bit-identical to the serial engine.
 
 The shard scheduler (:mod:`repro.simulation.sharding`) partitions a
-decomposable fleet into per-cluster-group engine shards that advance
-independently between bounded-lag barriers; everything observable about the
-run must nevertheless match the serial engine byte for byte.  These tests
-pin that contract:
+decomposable fleet into per-cluster-group engine shards, each run start to
+finish on its own engine; everything observable about the run must
+nevertheless match the serial engine byte for byte.  These tests pin that
+contract:
 
 * **Worker-count invariance** — serial, ``parallel=1`` (in-process shard
-  execution, exercising the barrier logic without OS workers), and
+  execution, exercising the partition logic without OS workers), and
   ``parallel=2/4`` (real ``multiprocessing`` workers) produce identical
   fingerprints: per-request timelines, tenant SLO reports, per-cluster
-  routing counts, and the run duration.
-* **Epoch-length invariance** — the barrier spacing is a pure performance
-  knob: any ``epoch_s`` (including one epoch for the whole trace) yields
-  the same bytes.
+  routing counts, and the run duration — also when some shards receive no
+  arrivals at all.
 * **Shard-boundary edge cases** — failure injections landing on different
-  shards in the same epoch, and an outage pair straddling an epoch
-  barrier, neither reorder nor lose anything; the census closes exactly.
+  shards, at the same or nearby times, neither reorder nor lose anything;
+  the census closes exactly.
+* **Input validation** — a bad failure injection raises ``ValueError``
+  before anything is armed or any worker starts.
 * **Coupled-configuration fallback** — fleets whose layers genuinely read
   fleet-wide state (chaos + retries/hedges, the cloud-burst provisioner,
   the observability plane) refuse to shard: ``parallel=N`` falls back to
@@ -35,7 +35,10 @@ from hypothesis import strategies as st
 from repro.core.designs import splitwise_hh
 from repro.experiments.fleet_sweep import fleet_run_summary, prepare_fleet_run
 from repro.fleet import FleetSimulation
+from repro.models.llm import LLAMA2_70B
+from repro.simulation.sharding import ShardSpec, execute_shards
 from repro.workload.scenarios import get_scenario
+from repro.workload.trace import Trace
 
 CLUSTERS = 4
 
@@ -44,14 +47,13 @@ def _mixed_trace(seed, scale=0.5):
     return get_scenario("mixed-tenant").build_trace(seed=seed, scale=scale)
 
 
-def _fleet(parallel=None, epoch_s=None, clusters=CLUSTERS):
+def _fleet(parallel=None, clusters=CLUSTERS):
     """A decomposable fleet: static weighted-rr, no coupled layers."""
     return FleetSimulation(
         splitwise_hh(2, 1),
         num_clusters=clusters,
         router="weighted-rr",
         parallel=parallel,
-        epoch_s=epoch_s,
     )
 
 
@@ -112,22 +114,21 @@ class TestWorkerCountInvariance:
             info = fleet.parallel_info
             assert info is not None and info["mode"] == "parallel"
             assert info["shards"] == min(workers, CLUSTERS)
-            # N=1 runs the shard/barrier machinery in-process — no workers.
+            # N=1 runs every shard in-process — no workers.
             assert info["workers"] == (0 if workers == 1 else min(workers, CLUSTERS))
-            assert info["epochs"] > 0
             _assert_census_closed(result, trace)
 
-    @given(epoch_s=st.sampled_from([0.5, 3.0, 17.0, 1e9]))
-    @settings(max_examples=4, deadline=None)
-    def test_epoch_length_is_a_pure_perf_knob(self, epoch_s):
-        trace = _mixed_trace(7)
-        reference = _fingerprint(_fleet().run(trace))
-        fleet = _fleet(parallel=2, epoch_s=epoch_s)
+    def test_shards_without_arrivals_match_serial(self):
+        """Two requests on four clusters leave two shards with nothing to do."""
+        full = _mixed_trace(5)
+        trace = Trace(requests=full.requests[:2], name=full.name)
+        serial = _fleet().run(trace)
+        fleet = _fleet(parallel=4)
         result = fleet.run(trace)
-        assert _fingerprint(result) == reference
-        # A whole-trace epoch degenerates to one barrier; it must still match.
-        if epoch_s == 1e9:
-            assert fleet.parallel_info["epochs"] <= 2
+        assert _fingerprint(result) == _fingerprint(serial)
+        assert fleet.parallel_info["shards"] == 4
+        assert sum(1 for c in result.clusters if c.requests) == 2
+        _assert_census_closed(result, trace)
 
     def test_parallel_info_is_deterministic_provenance(self):
         """The recorded provenance carries no wall times and no host state."""
@@ -139,6 +140,25 @@ class TestWorkerCountInvariance:
         assert first.parallel_info == second.parallel_info
 
 
+class TestShardExecution:
+    def test_worker_exception_keeps_its_type(self):
+        """A shard that raises in a worker re-raises in the coordinator as-is."""
+        specs = [
+            ShardSpec(
+                shard_id=index,
+                cluster_names=(f"cluster-{index}",),
+                design=splitwise_hh(2, 1),
+                model=LLAMA2_70B,
+                cluster_kwargs=(),
+                failures=(((1.0, f"cluster-{index}/no-such-machine"),),),
+                sanitize=False,
+            )
+            for index in range(2)
+        ]
+        with pytest.raises(ValueError, match="no-such-machine"):
+            execute_shards(specs, [[], []], use_processes=True)
+
+
 class TestShardBoundaryEdgeCases:
     # Round-robin assignment over 4 clusters and 2 shards puts cluster-0/2
     # on shard 0 and cluster-1/3 on shard 1 — the pairs below always span
@@ -146,6 +166,7 @@ class TestShardBoundaryEdgeCases:
 
     @pytest.mark.parametrize("seed", [1, 13])
     def test_failures_on_different_shards_same_epoch(self, seed):
+        """Simultaneous injections on two shards."""
         # Fixed seeds chosen so the injections actually catch requests in
         # flight (restarts > 0) — the parity claim must not be vacuous.
         trace = _mixed_trace(seed, scale=1.0)
@@ -155,29 +176,29 @@ class TestShardBoundaryEdgeCases:
             for c in (0, 1)
         )
         serial = _fleet().run(trace, failures=failures)
-        result = _fleet(parallel=2, epoch_s=50.0).run(trace, failures=failures)
+        result = _fleet(parallel=2).run(trace, failures=failures)
         assert _fingerprint(result) == _fingerprint(serial)
         _assert_census_closed(result, trace)
         assert any(r.restarts > 0 for r in result.requests)
 
     def test_outage_pair_spanning_epoch_boundary(self):
-        """Failures at 4.9s and 5.1s straddle the 5s barrier on two shards."""
+        """Failures at 4.9s and 5.1s, one on each of two shards."""
         trace = _mixed_trace(11)
         failures = (
             (4.9, "cluster-0/prompt-0"),
             (5.1, "cluster-1/prompt-0"),
         )
         serial = _fleet().run(trace, failures=failures)
-        result = _fleet(parallel=2, epoch_s=5.0).run(trace, failures=failures)
+        result = _fleet(parallel=2).run(trace, failures=failures)
         assert _fingerprint(result) == _fingerprint(serial)
         _assert_census_closed(result, trace)
 
     def test_failure_exactly_at_barrier_time(self):
-        """An injection at exactly an epoch barrier fires once, on its shard."""
+        """An injection on one of four shards fires once, on its shard."""
         trace = _mixed_trace(13)
         failures = ((10.0, "cluster-3/token-0"),)
         serial = _fleet().run(trace, failures=failures)
-        result = _fleet(parallel=4, epoch_s=5.0).run(trace, failures=failures)
+        result = _fleet(parallel=4).run(trace, failures=failures)
         assert _fingerprint(result) == _fingerprint(serial)
         _assert_census_closed(result, trace)
 

@@ -134,6 +134,27 @@ class TestFleetSimulation:
         with pytest.raises(ValueError, match="prefix"):
             fleet.run(_quick_trace(), failures=((5.0, "prompt-0"),))
 
+    # A valid injection on cluster-0 ahead of an invalid one on cluster-1:
+    # nothing may be armed for the valid one before the invalid one raises.
+    BAD_FAILURES = {
+        "unknown machine": ((5.0, "cluster-0/prompt-0"), (5.0, "cluster-1/no-such-machine")),
+        "negative time": ((5.0, "cluster-0/prompt-0"), (-1.0, "cluster-1/prompt-0")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_FAILURES))
+    def test_bad_failure_arms_nothing(self, case):
+        fleet = _small_fleet()
+        with pytest.raises(ValueError, match="failure injection"):
+            fleet.run(_quick_trace(), failures=self.BAD_FAILURES[case])
+        assert fleet.engine.pending_events == 0
+
+    @pytest.mark.parametrize("case", sorted(BAD_FAILURES))
+    def test_bad_failure_raises_before_sharding(self, case):
+        fleet = _small_fleet(router="weighted-rr", parallel=2)
+        with pytest.raises(ValueError, match="failure injection"):
+            fleet.run(_quick_trace(), failures=self.BAD_FAILURES[case])
+        assert fleet.parallel_info is None  # no shard plan was made
+
     def test_static_fleet_machine_hours_match_whole_window(self):
         fleet = _small_fleet()
         result = fleet.run(_quick_trace())
